@@ -6,8 +6,8 @@
 //	experiments -worker http://host:8080
 //
 // Fleet runs are bit-identical to single-process runs: workers return
-// each point as the checksummed PointRecord the checkpoint and result
-// store already use, and encoding/json round-trips every float exactly.
+// each point as the checksummed PointRecord the result store already
+// uses, and encoding/json round-trips every float exactly.
 package main
 
 import (

@@ -45,8 +45,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	// All work happens in run so deferred cleanup (CPU profile,
-	// checkpoint close) executes before the process exits.
+	// All work happens in run so deferred cleanup (CPU profile, store
+	// close) executes before the process exits.
 	os.Exit(run())
 }
 
@@ -63,8 +63,7 @@ func run() int {
 		format     = flag.String("format", "text", "output format: text, json or csv (csv where supported)")
 		timeline   = flag.String("timeline", "", "directory for per-point interval-timeline exports (JSONL + CSV)")
 		interval   = flag.Uint64("interval", 0, "telemetry interval in aggregate instructions (0 = auto: 1/50 of the window when -timeline is set)")
-		progress   = flag.Bool("progress", false, "log per-point scheduler progress (start/finish/cached) to stderr")
-		checkpoint = flag.String("checkpoint", "", "persist finished points to this JSONL file and resume from it")
+		progress   = flag.Bool("progress", false, "log per-point scheduler progress (start/finish/cached/restored) to stderr")
 		pointTO    = flag.Duration("point-timeout", 0, "per-seed watchdog deadline; a stuck simulation fails its point (0 = none)")
 		retries    = flag.Int("retries", 0, "retry attempts for retryable point failures")
 		backoff    = flag.Duration("retry-backoff", 0, "first retry delay, doubled per attempt")
@@ -279,17 +278,6 @@ func run() int {
 		sched.SetStateFaultHook(in.StateFault)
 		fmt.Fprintln(os.Stderr, "[faultinject active: results are intentionally degraded]")
 	}
-	if *checkpoint != "" {
-		cp, err := core.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer cp.Close()
-		sched.SetCheckpoint(cp)
-		fmt.Fprintf(os.Stderr, "[checkpoint %s: %d points restored, %d corrupt records skipped]\n",
-			cp.Path(), cp.Loaded(), cp.Skipped())
-	}
 	var fstore *fleet.Store
 	if *storeDir != "" {
 		st, err := fleet.OpenStore(*storeDir, 0)
@@ -377,11 +365,11 @@ func run() int {
 		start := time.Now()
 		all[name]()
 		d := sched.Stats()
-		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from checkpoint, %d from store, %d failed]\n",
+		fmt.Fprintf(os.Stderr, "[%s done in %s: %d points simulated (%d runs), %d served from cache, %d from store, %d failed]\n",
 			name, time.Since(start).Round(time.Millisecond),
 			d.Unique-before.Unique, d.SeedRuns-before.SeedRuns,
-			d.Cached()-before.Cached(), d.Restored-before.Restored,
-			d.FromStore-before.FromStore, d.Failed-before.Failed)
+			d.Cached()-before.Cached(), d.FromStore-before.FromStore,
+			d.Failed-before.Failed)
 		fmt.Println()
 	}
 	if coord != nil {
@@ -397,9 +385,9 @@ func run() int {
 		printFleetStats(os.Stderr, coord.Stats())
 	}
 	total := sched.Stats()
-	fmt.Fprintf(os.Stderr, "[suite done in %s: %d unique points, %d cached requests, %d restored, %d from store, %d failed, %d workers]\n",
+	fmt.Fprintf(os.Stderr, "[suite done in %s: %d unique points, %d cached requests, %d from store, %d failed, %d workers]\n",
 		time.Since(suiteStart).Round(time.Millisecond),
-		total.Unique, total.Cached(), total.Restored, total.FromStore, total.Failed, sched.Workers())
+		total.Unique, total.Cached(), total.FromStore, total.Failed, sched.Workers())
 	if drained.Load() {
 		log.Print("sweep drained by signal; rerun with the same -store to resume")
 		return 4
@@ -439,7 +427,7 @@ func buildObserver(progress bool, timelineDir string) core.Observer {
 				fmt.Fprintf(os.Stderr, "[point %s/%s cached]\n",
 					ev.Benchmark, ev.Mechanisms.Label())
 			case core.PointRestored:
-				fmt.Fprintf(os.Stderr, "[point %s/%s restored from checkpoint]\n",
+				fmt.Fprintf(os.Stderr, "[point %s/%s restored from store]\n",
 					ev.Benchmark, ev.Mechanisms.Label())
 			}
 		}

@@ -13,9 +13,14 @@
 // optional watchdog deadline (Options.PointTimeout) and bounded
 // retry-with-backoff for retryable failures; a failed point resolves
 // its future with a *PointError instead of crashing the pool (see
-// faults.go). A Checkpoint (SetCheckpoint) persists finished points to
-// a checksummed JSONL file and restores them on resubmission, so an
-// interrupted sweep resumes with only the missing points simulated.
+// faults.go).
+//
+// Persistence: a PointStore (SetPointStore) is the scheduler's single
+// persistence seam. Submissions it already holds are served without
+// simulating, so an interrupted sweep resumes with only the missing
+// points simulated. A finished point follows one fixed order: persist
+// to the store, then resolve its future, then fire PointFinish — a
+// result never reaches a caller before it is on disk.
 package core
 
 import (
@@ -43,8 +48,8 @@ const (
 	PointFinish
 	// PointCached: a Submit was served from the memoized point cache.
 	PointCached
-	// PointRestored: a Submit was served from the checkpoint file
-	// without simulating (checkpoint/resume).
+	// PointRestored: a Submit was served from the attached PointStore
+	// without simulating (resume).
 	PointRestored
 )
 
@@ -108,7 +113,8 @@ type PointRunner func(bench string, m Mechanisms, o Options) (Point, error)
 // result-store adapter in internal/fleet implements it over
 // internal/store). Lookup must only return points it can vouch for
 // (checksummed, seed count matching); Add must be safe to call from
-// worker goroutines.
+// worker goroutines and must return only once the record is durable,
+// since the point's future resolves right after it.
 type PointStore interface {
 	Lookup(bench string, m Mechanisms, o Options) (Point, bool)
 	Add(rec PointRecord) error
@@ -150,15 +156,9 @@ type pointEntry struct {
 	done  chan struct{}
 }
 
-// key rebuilds the entry's cache key (opts are already canonical).
-func (e *pointEntry) key() pointKey {
-	return pointKey{bench: e.bench, mech: e.mech, opts: e.opts}
-}
-
 // runSeed executes one seed's simulation — with panic isolation, the
-// watchdog deadline and retry policy (faults.go) — and publishes the
-// point when it is the last seed to finish. Successful points are
-// appended to the scheduler's checkpoint, failed ones counted.
+// watchdog deadline and retry policy (faults.go) — and finishes the
+// point when it is the last seed to complete.
 func (e *pointEntry) runSeed(s *Scheduler, seed int) {
 	met, err := e.simulateSeed(s, seed)
 	e.mu.Lock()
@@ -181,27 +181,12 @@ func (e *pointEntry) runSeed(s *Scheduler, seed int) {
 		p.Runtime = stats.Summarize(runtimes)
 		e.point = p
 	}
-	close(e.done)
-	if e.err == nil {
-		s.checkpointAdd(e.key(), e.point)
-		s.storeAdd(e.key(), e.point)
-	} else {
-		s.noteFailed()
-	}
-	ev := PointEvent{
-		Kind: PointFinish, Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts,
-		Seeds: len(e.runs), Wall: time.Since(e.started), Err: e.err,
-	}
-	if e.err == nil {
-		ev.Point = &e.point
-	}
-	s.safeNotify(e.notify, ev)
+	e.finish(s)
 }
 
 // runRemote executes the whole point through the installed PointRunner
-// (the fleet lease adapter) and publishes the result exactly like the
-// last local seed job would: future resolved, checkpoint/store fed,
-// finish event fired. Runner panics are isolated into point errors so a
+// (the fleet lease adapter) and finishes it exactly like the last local
+// seed job would. Runner panics are isolated into point errors so a
 // broken transport cannot crash the process.
 func (e *pointEntry) runRemote(s *Scheduler, r PointRunner) {
 	p, err := func() (p Point, err error) {
@@ -229,18 +214,26 @@ func (e *pointEntry) runRemote(s *Scheduler, r PointRunner) {
 		e.runs = p.Runs
 	}
 	e.mu.Unlock()
-	close(e.done)
-	if err == nil {
-		s.checkpointAdd(e.key(), e.point)
-		s.storeAdd(e.key(), e.point)
+	e.finish(s)
+}
+
+// finish publishes a completed point in the scheduler's one durability
+// order: a successful point is persisted to the attached store (a
+// failed one is counted), then the future resolves, then the
+// PointFinish event fires. A caller of Wait therefore never sees a
+// point that is not yet on disk.
+func (e *pointEntry) finish(s *Scheduler) {
+	if e.err == nil {
+		s.storeAdd(e)
 	} else {
 		s.noteFailed()
 	}
+	close(e.done)
 	ev := PointEvent{
 		Kind: PointFinish, Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts,
 		Seeds: e.opts.Seeds, Wall: time.Since(e.started), Err: e.err,
 	}
-	if err == nil {
+	if e.err == nil {
 		ev.Point = &e.point
 	}
 	s.safeNotify(e.notify, ev)
@@ -285,20 +278,17 @@ type Scheduler struct {
 	observer   Observer
 	faultHook  FaultHook
 	stateFault StateFaultHook
-	checkpoint *Checkpoint
 	store      PointStore
 	runner     PointRunner
 
 	requests  uint64
 	unique    uint64
 	seedRuns  uint64
-	restored  uint64
 	fromStore uint64
 	failed    uint64
 	retries   uint64
 
 	obsPanicOnce sync.Once // first observer panic reported to stderr
-	cpErrOnce    sync.Once // first checkpoint write error reported
 	stErrOnce    sync.Once // first result-store write error reported
 }
 
@@ -331,20 +321,11 @@ func (s *Scheduler) SetStateFaultHook(fn StateFaultHook) {
 	s.mu.Unlock()
 }
 
-// SetCheckpoint attaches a persistent point checkpoint: finished points
-// are appended to it, and submissions it already holds are restored
-// without simulating (PointRestored events). Attach before the study
-// drivers run. A nil checkpoint detaches.
-func (s *Scheduler) SetCheckpoint(cp *Checkpoint) {
-	s.mu.Lock()
-	s.checkpoint = cp
-	s.mu.Unlock()
-}
-
 // SetPointStore attaches a shared cross-process result store: finished
-// points are appended to it, and submissions it already holds are
-// restored without simulating (PointRestored events, counted in
-// FromStore). Attach before the study drivers run. A nil store detaches.
+// points are persisted to it before their futures resolve, and
+// submissions it already holds are restored without simulating
+// (PointRestored events, counted in FromStore). Attach before the study
+// drivers run. A nil store detaches.
 func (s *Scheduler) SetPointStore(ps PointStore) {
 	s.mu.Lock()
 	s.store = ps
@@ -382,34 +363,17 @@ func (s *Scheduler) safeNotify(fn Observer, ev PointEvent) {
 	fn(ev)
 }
 
-// checkpointAdd appends a finished point to the attached checkpoint, if
+// storeAdd persists a finished point to the attached result store, if
 // any. Write failures must not fail the point (the result is still good
 // in memory), so they are reported to stderr once and otherwise dropped.
-func (s *Scheduler) checkpointAdd(k pointKey, p Point) {
-	s.mu.Lock()
-	cp := s.checkpoint
-	s.mu.Unlock()
-	if cp == nil {
-		return
-	}
-	if err := cp.add(k, p); err != nil {
-		s.cpErrOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "core: checkpoint write failed: %v\n", err)
-		})
-	}
-}
-
-// storeAdd appends a finished point to the attached result store, if
-// any. Like checkpoint writes, store write failures must not fail the
-// point: they are reported to stderr once and otherwise dropped.
-func (s *Scheduler) storeAdd(k pointKey, p Point) {
+func (s *Scheduler) storeAdd(e *pointEntry) {
 	s.mu.Lock()
 	ps := s.store
 	s.mu.Unlock()
 	if ps == nil {
 		return
 	}
-	if err := ps.Add(PointRecord{Benchmark: k.bench, Mechanisms: k.mech, Options: k.opts, Point: p}); err != nil {
+	if err := ps.Add(PointRecord{Benchmark: e.bench, Mechanisms: e.mech, Options: e.opts, Point: e.point}); err != nil {
 		s.stErrOnce.Do(func() {
 			fmt.Fprintf(os.Stderr, "core: result-store write failed: %v\n", err)
 		})
@@ -511,7 +475,7 @@ func (s *Scheduler) worker() {
 // future is returned for collection via Wait. Invalid requests resolve
 // immediately with the same errors Run reports. Progress events fire
 // outside the scheduler lock: PointCached for cache hits, PointRestored
-// for points served from the attached checkpoint, PointStart for newly
+// for points served from the attached store, PointStart for newly
 // queued points, PointFinish when the last seed lands (invalid
 // submissions fire PointFinish with the error directly).
 func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
@@ -553,9 +517,6 @@ func (s *Scheduler) Submit(bench string, m Mechanisms, o Options) *PointFuture {
 		e.err = werr
 		s.failed++
 		close(e.done)
-	case s.checkpoint != nil && s.checkpoint.restore(key, e):
-		s.restored++
-		kind = PointRestored
 	case s.storeRestore(key, e):
 		s.fromStore++
 		kind = PointRestored
@@ -608,23 +569,21 @@ func (s *Scheduler) Close() {
 }
 
 // SchedulerStats counts cache effectiveness and pipeline health: how
-// much simulation the memoized point cache and the checkpoint avoided,
+// much simulation the memoized point cache and the result store avoided,
 // and how many points failed despite isolation and retries.
 type SchedulerStats struct {
 	Requests    uint64 // Submit calls
 	Unique      uint64 // distinct points actually simulated (locally or via the lease adapter)
 	SeedRuns    uint64 // individual seed-level sim.Run jobs executed locally
-	Restored    uint64 // points served from the checkpoint file
 	FromStore   uint64 // points served from the shared result store
 	Failed      uint64 // points that finished with an error
 	SeedRetries uint64 // retry attempts for retryable seed failures
 }
 
 // Cached returns how many requests were served from the in-process
-// cache (checkpoint and result-store restores are counted separately
-// in Restored and FromStore).
+// cache (result-store restores are counted separately in FromStore).
 func (st SchedulerStats) Cached() uint64 {
-	return st.Requests - st.Unique - st.Restored - st.FromStore
+	return st.Requests - st.Unique - st.FromStore
 }
 
 // Stats snapshots the scheduler's counters.
@@ -633,8 +592,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	defer s.mu.Unlock()
 	return SchedulerStats{
 		Requests: s.requests, Unique: s.unique, SeedRuns: s.seedRuns,
-		Restored: s.restored, FromStore: s.fromStore,
-		Failed: s.failed, SeedRetries: s.retries,
+		FromStore: s.fromStore, Failed: s.failed, SeedRetries: s.retries,
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cmpsim/internal/sim"
 )
 
 // TestSchedulerDeterminism is the scheduler's regression contract: the
@@ -126,10 +128,14 @@ func TestSchedulerObserver(t *testing.T) {
 
 	var mu sync.Mutex
 	var events []PointEvent
+	finished := make(chan struct{}, 8)
 	s.SetObserver(func(ev PointEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
+		if ev.Kind == PointFinish {
+			finished <- struct{}{}
+		}
 	})
 
 	s.Submit("zeus", Base, o).MustWait()
@@ -137,6 +143,15 @@ func TestSchedulerObserver(t *testing.T) {
 	s.Submit("zeus", Prefetch, o).MustWait()
 	if _, err := s.Submit("nosuch", Base, o).Wait(); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	// PointFinish fires after the future resolves, so Wait returning
+	// does not mean the event has been delivered yet.
+	for i := 0; i < 3; i++ {
+		select {
+		case <-finished:
+		case <-time.After(time.Minute):
+			t.Fatalf("only %d of 3 finish events delivered", i)
+		}
 	}
 
 	mu.Lock()
@@ -201,5 +216,88 @@ func TestSchedulerTelemetryPlumbing(t *testing.T) {
 	b.Timeline = nil
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("telemetry perturbed the simulation:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// blockingStore is a PointStore whose Add parks until released, so a
+// test can observe what the scheduler lets escape while a point is
+// still being persisted.
+type blockingStore struct {
+	adding  chan PointRecord // receives each record as Add starts
+	release chan struct{}    // closed to let every Add return
+}
+
+func (b *blockingStore) Lookup(string, Mechanisms, Options) (Point, bool) { return Point{}, false }
+
+func (b *blockingStore) Add(rec PointRecord) error {
+	b.adding <- rec
+	<-b.release
+	return nil
+}
+
+// TestPersistBeforeResolve pins the durability order of a finished
+// point on both execution paths: while the store's Add is still in
+// flight, Wait must not have returned and PointFinish must not have
+// fired; both follow once Add returns.
+func TestPersistBeforeResolve(t *testing.T) {
+	o := Options{Cores: 1, Seeds: 1, Warmup: 2000, Measure: 2000, BandwidthGBps: 10, L2MB: 1}
+	for _, remote := range []bool{false, true} {
+		name := "local"
+		if remote {
+			name = "remote"
+		}
+		t.Run(name, func(t *testing.T) {
+			bs := &blockingStore{adding: make(chan PointRecord, 1), release: make(chan struct{})}
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(bs.release) }) }
+			t.Cleanup(release) // never strand a worker in Add on failure
+			s := NewScheduler(1)
+			t.Cleanup(s.Close)
+			s.SetPointStore(bs)
+			finished := make(chan struct{})
+			s.SetObserver(func(ev PointEvent) {
+				if ev.Kind == PointFinish {
+					close(finished)
+				}
+			})
+			if remote {
+				s.SetPointRunner(func(bench string, m Mechanisms, o Options) (Point, error) {
+					return Point{Benchmark: bench, Mechanisms: m, Runs: make([]sim.Metrics, o.Seeds)}, nil
+				})
+			}
+			f := s.Submit("zeus", Base, o)
+			resolved := make(chan struct{})
+			go func() {
+				f.Wait()
+				close(resolved)
+			}()
+
+			select {
+			case <-bs.adding:
+			case <-resolved:
+				t.Fatal("future resolved before the point reached the store")
+			case <-time.After(time.Minute):
+				t.Fatal("point never reached the store")
+			}
+			select {
+			case <-resolved:
+				t.Fatal("future resolved while the store Add was still in flight")
+			case <-finished:
+				t.Fatal("PointFinish fired while the store Add was still in flight")
+			case <-time.After(50 * time.Millisecond):
+			}
+
+			release()
+			for _, c := range []chan struct{}{resolved, finished} {
+				select {
+				case <-c:
+				case <-time.After(time.Minute):
+					t.Fatal("point never resolved after the store Add returned")
+				}
+			}
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

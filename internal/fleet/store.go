@@ -66,16 +66,22 @@ func (st *Store) LookupKey(key string, seeds int) (core.Point, bool) {
 }
 
 // Add files one finished point under its canonical key. A key already
-// present is a no-op (results are deterministic, so first write wins).
+// present is a no-op that skips the record encode (results are
+// deterministic, so first write wins): in a fleet run the coordinator
+// files each point before the scheduler's own Add reaches it.
 func (st *Store) Add(rec core.PointRecord) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("fleet: refusing to store invalid record: %w", err)
+	}
+	key := rec.Key()
+	if _, ok := st.s.Get(key); ok {
+		return nil
 	}
 	val, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("fleet: encode point record: %w", err)
 	}
-	return st.s.Put(rec.Key(), val)
+	return st.s.Put(key, val)
 }
 
 // Len returns how many distinct points this process's view holds.

@@ -1,11 +1,10 @@
 // Package store implements the content-addressed result store shared
 // across sweep processes: a directory of sharded, checksummed JSONL
 // files mapping canonical string keys to opaque JSON values. It is the
-// cross-process generalization of internal/core's single-file
-// checkpoint — same record discipline (CRC-32 per record, fsync'd
+// repository's one on-disk record format: CRC-32 per record, fsync'd
 // appends, truncated-tail healing, corrupt records skipped and never
-// trusted), but sharded so a coordinator and any number of readers can
-// share one directory.
+// trusted (the fleet journal shares the same framing). Shards let a
+// coordinator and any number of readers share one directory.
 //
 // Record format (one JSON object per line of shard-NNN.jsonl):
 //
@@ -117,6 +116,7 @@ type Store struct {
 	dir      string
 	shards   int
 	readOnly bool
+	closed   bool             // sealed by Close: Put refuses
 	files    map[int]*os.File // writer mode: open append handles per shard
 	mem      map[string]json.RawMessage
 	loaded   int
@@ -296,11 +296,18 @@ func (s *Store) Dir() string { return s.dir }
 
 // Put appends one record to the key's shard and syncs it, so a kill at
 // any moment loses at most the record being written. A key already in
-// this process's view is a no-op (first write wins; values are expected
-// to be deterministic functions of the key). Read-only stores refuse.
+// this process's view is a no-op that returns before encoding anything
+// (first write wins; values are expected to be deterministic functions
+// of the key). Read-only and closed stores refuse.
 func (s *Store) Put(key string, value []byte) error {
 	if s.readOnly {
 		return fmt.Errorf("store: Put on read-only store %s", s.dir)
+	}
+	s.mu.Lock()
+	settled, err := s.settledLocked(key)
+	s.mu.Unlock()
+	if settled {
+		return err
 	}
 	rec, err := EncodeRecord(key, value)
 	if err != nil {
@@ -308,8 +315,8 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.mem[key]; ok {
-		return nil
+	if settled, err := s.settledLocked(key); settled {
+		return err
 	}
 	f, err := s.shardFileLocked(ShardOf(key, s.shards))
 	if err != nil {
@@ -323,6 +330,17 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	s.mem[key] = append(json.RawMessage(nil), value...)
 	return nil
+}
+
+// settledLocked reports whether a Put of key is decided without a
+// write: the store is closed (an error) or the key is already in view
+// (a no-op). Callers hold mu.
+func (s *Store) settledLocked(key string) (bool, error) {
+	if s.closed {
+		return true, fmt.Errorf("store: Put on closed store %s", s.dir)
+	}
+	_, ok := s.mem[key]
+	return ok, nil
 }
 
 // shardFileLocked opens (once) the append handle for one shard. Callers
@@ -346,12 +364,12 @@ func (s *Store) Reload() error {
 	return s.scan()
 }
 
-// Close releases the writer's append handles. The in-memory view stays
-// usable for Get; Put after Close reopens handles, so Close is only a
-// resource courtesy, not a seal.
+// Close releases the writer's append handles and seals the store: Put
+// after Close fails. The in-memory view stays usable for Get.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
 	for sh, f := range s.files {
 		if err := f.Close(); err != nil && first == nil {

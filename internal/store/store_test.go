@@ -62,6 +62,11 @@ func TestPutDuplicateIsNoop(t *testing.T) {
 	if err := s.Put("k", val("second")); err != nil {
 		t.Fatal(err)
 	}
+	// A key already in view returns before the value is encoded: a
+	// value EncodeRecord would reject is never looked at.
+	if err := s.Put("k", []byte("not json")); err != nil {
+		t.Fatalf("duplicate Put encoded its value: %v", err)
+	}
 	if v, _ := s.Get("k"); !bytes.Equal(v, val("first")) {
 		t.Fatalf("duplicate Put overwrote: %s", v)
 	}
@@ -72,6 +77,36 @@ func TestPutDuplicateIsNoop(t *testing.T) {
 	}
 	if n := bytes.Count(b, []byte{'\n'}); n != 1 {
 		t.Fatalf("shard has %d records, want 1", n)
+	}
+}
+
+// TestPutAfterCloseFails pins the seal: Close ends the writer's life,
+// so a late Put errors instead of reopening a shard file behind the
+// caller's back. The in-memory view stays readable.
+func TestPutAfterCloseFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", val("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", val("b")); err == nil {
+		t.Fatal("Put after Close succeeded")
+	}
+	if _, ok := s.Get("a"); !ok {
+		t.Fatal("Get after Close lost the view")
+	}
+	b, err := os.ReadFile(shardPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(b, []byte{'\n'}); n != 1 {
+		t.Fatalf("shard has %d records after a sealed Put, want 1", n)
 	}
 }
 
@@ -179,10 +214,10 @@ func TestDisjointShardWriters(t *testing.T) {
 	}
 }
 
-// TestCorruptionMatrix mirrors the checkpoint corruption tests: every
-// way a record can be damaged must be skipped (never trusted) while
-// intact neighbours still load, and a truncated tail must be healed so
-// the writer's next append starts cleanly.
+// TestCorruptionMatrix pins the record discipline: every way a record
+// can be damaged must be skipped (never trusted) while intact
+// neighbours still load, and a truncated tail must be healed so the
+// writer's next append starts cleanly.
 func TestCorruptionMatrix(t *testing.T) {
 	build := func(t *testing.T) (string, []string) {
 		dir := t.TempDir()
